@@ -39,16 +39,28 @@ let frac a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b
     tens of seconds, which moves every timing of a run together.  A fixed
     task that uses only the OCaml standard library — hashing and
     allocating 50k small arrays, then sorting them — is timed at points
-    spread over the run.  Reported times are scaled by [nominal / median
-    of those samples], i.e. they read as if the reference task took
-    [nominal] seconds; rates are scaled inversely.  Raw values are
-    printed alongside. *)
+    spread over the run.  It runs in a child process of its own
+    ([perfbench --reference], started once per run), so it measures the
+    host and not the heap or GC state of the program under test.
+
+    A workload that keeps [w] domains busy (the two client connections
+    and the daemon of daemon_rw) depends on how much of the host's
+    second core it gets, which a one-domain task does not see.  So a
+    sample also times the task on [2..!width] domains at once, and a
+    sample taken while [w] domains were busy is scaled by the [w]-domain
+    time.  Set-up and navigation run on one domain.
+
+    Reported times are scaled by [nominal / reference time], i.e. they
+    read as if the reference task took [nominal] seconds; rates are
+    scaled inversely.  Raw values are printed alongside. *)
 module Speed = struct
   let nominal = 0.050
-  let samples = ref [] (* (midpoint, duration) *)
+  let width = ref 1 (* domains the timed phase keeps busy *)
+  let samples = ref [] (* (midpoint, time on 1..!width domains) *)
+  let spent = ref 0.0 (* wall time of all sampling *)
   let mu = Mutex.create ()
 
-  let reference () =
+  let task () =
     let h = Hashtbl.create 1024 in
     for i = 0 to 49_999 do
       Hashtbl.replace h (i * 7919) (Array.make 4 i)
@@ -56,28 +68,86 @@ module Speed = struct
     let l = Hashtbl.fold (fun k v acc -> (k, v.(0)) :: acc) h [] in
     List.length (List.sort compare l)
 
-  let sample () =
+  (** The task on [w] domains at once; wall seconds until all finish. *)
+  let timed_task w =
     let t0 = now () in
-    ignore (Sys.opaque_identity (reference ()));
-    let t1 = now () in
-    Mutex.protect mu (fun () -> samples := ((t0 +. t1) /. 2.0, t1 -. t0) :: !samples)
+    let others = List.init (w - 1) (fun _ -> Domain.spawn task) in
+    ignore (Sys.opaque_identity (task ()));
+    List.iter (fun d -> ignore (Domain.join d)) others;
+    now () -. t0
+
+  (** The child's side: run the task once to size its heap, then, for
+      every width [w] read from standard input, print the task's time on
+      [1..w] domains.  Ends at end of input. *)
+  let reference () =
+    ignore (Sys.opaque_identity (task ()));
+    try
+      while true do
+        let w = max 1 (int_of_string (String.trim (input_line stdin))) in
+        print_endline (String.concat " " (List.init w (fun i -> Printf.sprintf "%.9f" (timed_task (i + 1)))))
+      done
+    with End_of_file | Failure _ -> ()
+
+  let child = ref None
+
+  let stop () =
+    Mutex.protect mu (fun () ->
+        Option.iter (fun c -> ignore (Unix.close_process c)) !child;
+        child := None)
+
+  let () = at_exit stop
+
+  (** Ask the reference child for one sample and record it; the child is
+      started on first use.  A failed request leaves no sample. *)
+  let sample () =
+    Mutex.protect mu (fun () ->
+        let t0 = now () in
+        (try
+           let ic, oc =
+             match !child with
+             | Some c -> c
+             | None ->
+               let exe = Sys.executable_name in
+               let c = Unix.open_process_args exe [| exe; "--reference" |] in
+               child := Some c;
+               c
+           in
+           Printf.fprintf oc "%d\n%!" !width;
+           match In_channel.input_line ic with
+           | Some l -> (
+             match List.map float_of_string_opt (String.split_on_char ' ' l) with
+             | ts when List.length ts = !width && List.for_all Option.is_some ts ->
+               samples := ((t0 +. now ()) /. 2.0, Array.of_list (List.map Option.get ts)) :: !samples
+             | _ -> ())
+           | None -> ()
+         with Sys_error _ -> ());
+        spent := !spent +. (now () -. t0))
 
   (** Sample when the reference has used under a tenth of [busy]. *)
-  let maybe ~busy = if sum (List.map snd !samples) < 0.1 *. busy then sample ()
+  let maybe ~busy = if !spent < 0.1 *. busy then sample ()
 
-  (** Seconds on this host per nominal second, over the whole run. *)
-  let factor () = match !samples with [] -> 1.0 | xs -> median (List.map snd xs) /. nominal
+  let time_on w (_, ts) = ts.(min w (Array.length ts) - 1)
+
+  (** Seconds on this host per nominal second, over the whole run, for
+      work on [width] domains. *)
+  let factor ?(width = 1) () =
+    match !samples with [] -> 1.0 | xs -> median (List.map (time_on width) xs) /. nominal
 
   (** The same around time [t]: the median of the five samples nearest
       to it. *)
-  let local t =
+  let local ?(width = 1) t =
     match !samples with
     | [] -> 1.0
     | xs ->
       let d (a, _) = Float.abs (a -. t) in
       let near = List.filteri (fun i _ -> i < 5) (List.sort (fun a b -> compare (d a) (d b)) xs) in
-      median (List.map snd near) /. nominal
+      median (List.map (time_on width) near) /. nominal
 end
+
+(** Set-up is timed [setup_rounds] times before the timed phase (the
+    last set-up serves it) and as many times after it, so the median of
+    [setup_s] spans the run. *)
+let setup_rounds = 4
 
 (** A timed sample: when it ended, and how long it took (seconds). *)
 type lat = float * float
@@ -88,8 +158,9 @@ let timed_lat f =
   let t1 = now () in
   (r, (t1, t1 -. t0))
 
-(** Durations scaled to the nominal host speed around each sample. *)
-let scaled (xs : lat list) = List.map (fun (t, dt) -> dt /. Speed.local t) xs
+(** Durations scaled to the nominal host speed around each sample, for
+    samples taken while [width] domains were busy. *)
+let scaled ?width (xs : lat list) = List.map (fun (t, dt) -> dt /. Speed.local ?width t) xs
 
 let raw (xs : lat list) = List.map snd xs
 
@@ -281,35 +352,29 @@ type metric = { name : string; value : float; raw : float; unit_ : string; gated
 let m name unit_ value = { name; value; raw = value; unit_; gated = true }
 
 (** A timing statistic of [xs], in milliseconds ("ms") or seconds. *)
-let lat_metric name unit_ stat (xs : lat list) =
+let lat_metric ?width name unit_ stat (xs : lat list) =
   let conv = if unit_ = "ms" then ms else Fun.id in
-  { name; unit_; value = conv (stat (scaled xs)); raw = conv (stat (raw xs)); gated = true }
+  { name; unit_; value = conv (stat (scaled ?width xs)); raw = conv (stat (raw xs)); gated = true }
 
 (** Completed requests per second of the summed request times. *)
 let rate_metric name (xs : lat list) =
   let n = float_of_int (List.length xs) in
   { name; unit_ = "1/s"; value = n /. sum (scaled xs); raw = n /. sum (raw xs); gated = true }
 
-(** The end-to-end metrics, gated ones in the order BENCHMARK.json lists
-    them.  Join and write latencies are not gated: on daemon_rw both are
-    bimodal (the first read after a commit pays a rebuild; a write may
-    queue behind an extraction), and their run-to-run spread exceeds any
-    bound the benchmark may set. *)
-let e2e_metrics ~setups ~extract ~navigate ~lookups ~joins ~writes ~ops ~rss =
+(** The gated end-to-end metrics, in the order BENCHMARK.json lists them.
+    Extractions and lookups ran while [width] domains were busy;
+    set-ups and navigations on one. *)
+let e2e_metrics ~width ~setups ~extract ~navigate ~lookups ~ops ~rss =
   let p90 = percentile 90.0 in
-  let ungated x = { x with gated = false } in
   [
     lat_metric "setup_s" "s" median setups;
-    lat_metric "extract_p50_ms" "ms" median extract;
-    lat_metric "extract_p90_ms" "ms" p90 extract;
+    lat_metric ~width "extract_p50_ms" "ms" median extract;
+    lat_metric ~width "extract_p90_ms" "ms" p90 extract;
     lat_metric "navigate_p50_ms" "ms" median navigate;
-    lat_metric "lookup_p50_ms" "ms" median lookups;
-    lat_metric "lookup_p90_ms" "ms" p90 lookups;
+    lat_metric ~width "lookup_p50_ms" "ms" median lookups;
+    lat_metric ~width "lookup_p90_ms" "ms" p90 lookups;
     ops;
     m "peak_rss_mb" "MB" rss;
-    ungated (lat_metric "join_p50_ms" "ms" median joins);
-    ungated (lat_metric "write_p50_ms" "ms" median writes);
-    ungated (lat_metric "write_p90_ms" "ms" p90 writes);
   ]
 
 type outcome = {

@@ -1,7 +1,6 @@
 (** Pieces shared by the workloads: the OO1 database and its
-    extract-then-navigate client, and the SQL request classes (point
-    lookup, range join, write transaction) over a node/edge schema, with
-    the references their outputs are checked against. *)
+    extract-then-navigate client, point lookups with the reference their
+    rows are checked against, and the layer probes of the traced run. *)
 
 open Relcore
 module Db = Engine.Database
@@ -86,161 +85,55 @@ let navigate ~seed stream =
   in
   { load_s; nav_s; sum; visits }
 
-(* -- SQL request classes over a node/edge schema --------------------------- *)
+(* -- point lookups ----------------------------------------------------------- *)
 
-type graph = {
-  node : string;
-  key : string;
-  checked : string list; (* columns lookups return; writes never touch them *)
-  upd : string; (* int column the write transaction updates *)
-  edge : string;
-  efrom : string;
-  eto : string;
-  new_node : int -> Random.State.t -> string; (* VALUES list of a new node *)
-  new_edge : int -> int -> Random.State.t -> string;
-  join_width : int;
-}
+(** A point-lookup target: a table keyed by [key] over [1..n], and the
+    columns a lookup returns. *)
+type table = { name : string; key : string; cols : string list }
 
-let oo1_graph =
-  {
-    node = "parts";
-    key = "pid";
-    checked = [ "ptype"; "build" ];
-    upd = "x";
-    edge = "conns";
-    efrom = "cfrom";
-    eto = "cto";
-    new_node =
-      (fun k rng ->
-        Printf.sprintf "%d, 'part-type%d', %d, %d, %d" k (Random.State.int rng 3)
-          (Random.State.int rng 100_000) (Random.State.int rng 100_000)
-          (Random.State.int rng 10_000));
-    new_edge =
-      (fun k t rng ->
-        Printf.sprintf "%d, %d, 'conn-type%d', %d" k t (Random.State.int rng 2)
-          (Random.State.int rng 1000));
-    join_width = 50;
-  }
+let parts_table = { name = "parts"; key = "pid"; cols = [ "ptype"; "build" ] }
+let bom_part_table = { name = "part"; key = "pid"; cols = [ "pname" ] }
 
-let bom_graph =
-  {
-    node = "part";
-    key = "pid";
-    checked = [ "pname" ];
-    upd = "level";
-    edge = "contains";
-    efrom = "parent";
-    eto = "child";
-    new_node = (fun k rng -> Printf.sprintf "%d, 'part%d', %d" k k (6 + Random.State.int rng 3));
-    new_edge = (fun k t rng -> Printf.sprintf "%d, %d, %d" k t (1 + Random.State.int rng 10));
-    join_width = 50;
-  }
+let lookup_sql t k =
+  Printf.sprintf "SELECT %s FROM %s WHERE %s = %d" (String.concat ", " (t.key :: t.cols)) t.name t.key k
 
-let lookup_sql g k =
-  Printf.sprintf "SELECT %s FROM %s WHERE %s = %d" (String.concat ", " (g.key :: g.checked)) g.node g.key k
+(** Reference rows for lookups, read once from the generated data by a
+    full scan.  Keys [1..n_keys] all exist. *)
+type lref = { rows : (int, Tuple.t) Hashtbl.t; n_keys : int }
 
-let join_sql g lo =
-  Printf.sprintf "SELECT n.%s, e.%s FROM %s n, %s e WHERE n.%s = e.%s AND n.%s >= %d AND n.%s < %d"
-    g.key g.eto g.node g.edge g.key g.efrom g.key lo g.key (lo + g.join_width)
-
-(** One write transaction: update an existing node, insert node
-    [new_key] and an edge from it to an existing node. *)
-let write_sql g ~new_key ~n_keys rng =
-  let existing () = 1 + Random.State.int rng n_keys in
-  let upd =
-    Printf.sprintf "UPDATE %s SET %s = %d WHERE %s = %d" g.node g.upd (Random.State.int rng 100_000) g.key
-      (existing ())
-  in
-  let ins_node = Printf.sprintf "INSERT INTO %s VALUES (%s)" g.node (g.new_node new_key rng) in
-  let ins_edge = Printf.sprintf "INSERT INTO %s VALUES (%s)" g.edge (g.new_edge new_key (existing ()) rng) in
-  [ "BEGIN"; upd; ins_node; ins_edge; "COMMIT" ]
-
-(** Reference rows for lookups and joins, read once from the generated
-    data by full scans.  Keys [1..n_keys] all exist; writes never change
-    a lookup's columns or a join's result over those keys. *)
-type gref = { rows : (int, Tuple.t) Hashtbl.t; edges : (int, int list) Hashtbl.t; n_keys : int }
-
-let gref db g =
-  let rows = Hashtbl.create 4096 and edges = Hashtbl.create 4096 in
+let lookup_ref db t =
+  let rows = Hashtbl.create 4096 in
   List.iter
-    (fun t -> Hashtbl.replace rows (Value.as_int t.(0)) t)
-    (Db.query_rows db
-       (Printf.sprintf "SELECT %s FROM %s" (String.concat ", " (g.key :: g.checked)) g.node));
-  List.iter
-    (fun r ->
-      Hashtbl.replace edges r.(0) (r.(1) :: Option.value ~default:[] (Hashtbl.find_opt edges r.(0))))
-    (int_rows db (Printf.sprintf "SELECT %s, %s FROM %s" g.efrom g.eto g.edge));
-  { rows; edges; n_keys = Hashtbl.length rows }
+    (fun r -> Hashtbl.replace rows (Value.as_int r.(0)) r)
+    (Db.query_rows db (Printf.sprintf "SELECT %s FROM %s" (String.concat ", " (t.key :: t.cols)) t.name));
+  { rows; n_keys = Hashtbl.length rows }
 
 let lookup_ok r k rows =
   match (rows, Hashtbl.find_opt r.rows k) with
   | [ got ], Some want -> Tuple.equal got want
   | _ -> false
 
-let join_ok g r lo rows =
-  let want =
-    List.concat_map
-      (fun k -> List.map (fun c -> [| Value.Int k; Value.Int c |]) (Option.value ~default:[] (Hashtbl.find_opt r.edges k)))
-      (List.init g.join_width (fun i -> lo + i))
-  in
-  List.equal Tuple.equal (List.sort Tuple.compare rows) (List.sort Tuple.compare want)
+(** Seeded point lookups that an in-process workload interleaves between
+    its own requests, on its own database.  They are read-only.  They
+    bypass the plan cache ([~cache:false]), so the workload's plan-cache
+    contents and counters stay its own; a point lookup shares no
+    subexpression, so it never reaches the result cache.  Each
+    {!lookup_step} times one lookup and checks its row outside the
+    timing. *)
+type lookups = { db : Db.t; t : table; r : lref; rng : Random.State.t; mutable lats : Bx.lat list }
 
-(** The write transaction's expected replies: BEGIN, one row per DML
-    statement, COMMIT. *)
-let write_ok results =
-  match results with
-  | [ Db.Done _; Db.Affected 1; Db.Affected 1; Db.Affected 1; Db.Done _ ] -> true
-  | _ -> false
+let lookups ~seed db t = { db; t; r = lookup_ref db t; rng = Random.State.make [| seed; 77 |]; lats = [] }
 
-(** The SQL request classes as a seeded stream against [db]: seven
-    lookups, one join and two write transactions in every ten.  Each
-    {!sql_step} runs and times one request and checks its output outside
-    the timing.  The in-process workloads interleave these steps with
-    their own requests, against a copy of their database. *)
-type sql_mix = {
-  db : Db.t;
-  g : graph;
-  r : gref;
-  rng : Random.State.t;
-  mutable i : int;
-  mutable next_key : int;
-  mutable lookups : Bx.lat list;
-  mutable joins : Bx.lat list;
-  mutable writes : Bx.lat list;
-}
-
-let sql_mix ~seed db g =
-  let r = gref db g in
-  { db; g; r; rng = Random.State.make [| seed; 77 |]; i = 0; next_key = r.n_keys + 1; lookups = []; joins = [];
-    writes = [] }
-
-let sql_step ~tally m =
-  let g = m.g and r = m.r and rng = m.rng and db = m.db in
+let lookup_step ~tally l =
+  let k = 1 + Random.State.int l.rng l.r.n_keys in
   Bx.attempt tally;
-  (match m.i mod 10 with
-  | 7 -> (
-    let lo = 1 + Random.State.int rng (r.n_keys - g.join_width) in
-    match Bx.guard tally "join" (fun () -> Bx.timed_lat (fun () -> Db.query_rows db (join_sql g lo))) with
-    | Some (rows, dt) ->
-      m.joins <- dt :: m.joins;
-      Bx.check tally (join_ok g r lo rows) "join result differs from reference"
-    | None -> ())
-  | 8 | 9 -> (
-    let stmts = write_sql g ~new_key:m.next_key ~n_keys:r.n_keys rng in
-    m.next_key <- m.next_key + 1;
-    match Bx.guard tally "write" (fun () -> Bx.timed_lat (fun () -> List.map (Db.exec db) stmts)) with
-    | Some (res, dt) ->
-      m.writes <- dt :: m.writes;
-      Bx.check tally (write_ok res) "write transaction replies unexpected"
-    | None -> ( try ignore (Db.exec db "ROLLBACK") with _ -> ()))
-  | _ -> (
-    let k = 1 + Random.State.int rng r.n_keys in
-    match Bx.guard tally "lookup" (fun () -> Bx.timed_lat (fun () -> Db.query_rows db (lookup_sql g k))) with
-    | Some (rows, dt) ->
-      m.lookups <- dt :: m.lookups;
-      Bx.check tally (lookup_ok r k rows) "lookup result differs from reference"
-    | None -> ()));
-  m.i <- m.i + 1
+  match
+    Bx.guard tally "lookup" (fun () -> Bx.timed_lat (fun () -> Db.query_rows ~cache:false l.db (lookup_sql l.t k)))
+  with
+  | Some (rows, dt) ->
+    l.lats <- dt :: l.lats;
+    Bx.check tally (lookup_ok l.r k rows) "lookup result differs from reference"
+  | None -> ()
 
 (** Extraction-path layer probe, run outside request intervals: the
     compile path split into parse, XNF semantics, XNF rewrite and the

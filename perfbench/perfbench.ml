@@ -5,7 +5,7 @@
     JSON line: [correct], [attempted], [failed] and the metrics — the
     end-to-end ones with [--trace 0], the per-layer ones of the traced
     run with [--trace 1].  [--serve --sock PATH] is the daemon process of
-    daemon_rw. *)
+    daemon_rw; [--reference] is the host-speed reference of {!Bx.Speed}. *)
 
 let workloads =
   [ ("oo1_extract", W_oo1.run); ("adhoc_co", W_adhoc.run); ("daemon_rw", W_daemon.run) ]
@@ -42,6 +42,7 @@ let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let rec opts acc = function
     | "--serve" :: rest -> opts (("serve", "1") :: acc) rest
+    | "--reference" :: rest -> opts (("reference", "1") :: acc) rest
     | k :: v :: rest when String.length k > 2 && String.sub k 0 2 = "--" ->
       opts ((String.sub k 2 (String.length k - 2), v) :: acc) rest
     | [] -> acc
@@ -50,7 +51,8 @@ let () =
   let o = opts [] args in
   let get k = match List.assoc_opt k o with Some v -> v | None -> usage () in
   let int k = match int_of_string_opt (get k) with Some n -> n | None -> usage () in
-  if List.mem_assoc "serve" o then W_daemon.serve ~sock:(get "sock")
+  if List.mem_assoc "reference" o then Bx.Speed.reference ()
+  else if List.mem_assoc "serve" o then W_daemon.serve ~sock:(get "sock")
   else begin
     let name = get "workload" and seed = int "seed" and seconds = float_of_int (int "seconds") in
     let trace = match get "trace" with "0" -> false | "1" -> true | _ -> usage () in
@@ -70,11 +72,12 @@ let () =
     let e2e_ok = List.for_all (fun (m : Bx.metric) -> (not m.gated) || (finite m.value && m.value > 0.0)) r.e2e in
     (* times and rates are scaled to the nominal host speed (Bx.Speed):
        end-to-end timings sample by sample, per-layer ones by the run's
-       median factor *)
-    let speed = Bx.Speed.factor () in
+       median factor at the timed phase's width *)
+    let width = !Bx.Speed.width in
+    let speed = Bx.Speed.factor ~width () in
     let scale u v = match u with "ms" | "s" -> v /. speed | "1/s" -> v *. speed | _ -> v in
-    Printf.printf "host speed: reference task median %.2f ms over %d samples (nominal %.0f ms), factor %.4f\n"
-      (Bx.ms (speed *. Bx.Speed.nominal)) (List.length !Bx.Speed.samples) (Bx.ms Bx.Speed.nominal) speed;
+    Printf.printf "host speed: reference task median %.2f ms on %d domain(s) over %d samples (nominal %.0f ms), factor %.4f\n"
+      (Bx.ms (speed *. Bx.Speed.nominal)) width (List.length !Bx.Speed.samples) (Bx.ms Bx.Speed.nominal) speed;
     Printf.printf "  %-16s %14s %14s\n" "end-to-end" "scaled" "raw";
     List.iter
       (fun (m : Bx.metric) ->

@@ -2,7 +2,8 @@
     In-process, closed loop, one caller.  A session extracts the whole
     [parts_co] graph cold (result cache bypassed through [~cache:false];
     the compile is a plan-cache hit), loads it into a CO-cache workspace
-    and runs the OO1 lookups and depth-7 traversals. *)
+    and runs the OO1 lookups and depth-7 traversals.  Point lookups on
+    [parts] run between sessions. *)
 
 module Db = Engine.Database
 module H = Xnf.Hetstream
@@ -20,23 +21,23 @@ let setup () =
   ignore (C.extract ~cache:false (C.compile db Kit.parts_text));
   db
 
-(** One timed set-up, then a host-speed sample next to it. *)
+(** One timed set-up, with a host-speed sample on either side of it. *)
 let timed_setup () =
   Gc.compact ();
+  Bx.Speed.sample ();
   let r = Bx.timed_lat setup in
   Bx.Speed.sample ();
   r
 
+(** Point lookups on [parts] after each session. *)
+let lookups_per_session = 10
+
 let run ~seed ~seconds ~trace =
   let tally = Bx.tally () in
-  (* set-up is timed twice before the run (the second one serves) and
-     twice after it, so its median spans the run's duration *)
-  let setups = [ snd (timed_setup ()) ] in
+  let setups = List.init (Bx.setup_rounds - 1) (fun _ -> snd (timed_setup ())) in
   let db, dt = timed_setup () in
   let setups = dt :: setups in
-  (* the SQL request classes run on a copy, so their writes leave the
-     extracted CO unchanged *)
-  let sql = Kit.sql_mix ~seed (Workloads.Oo1.generate Kit.oo1_params) Kit.oo1_graph in
+  let lookups = Kit.lookups ~seed db Kit.parts_table in
   (* references: one cold serial extraction's wire bytes, its expected
      component counts, and the navigation oracle from the base tables *)
   let reference = H.serialize (C.run ~cache:false db Kit.parts_text) in
@@ -46,7 +47,8 @@ let run ~seed ~seconds ~trace =
     (H.counts (H.deserialize reference) = [ ("xpart", Kit.n_parts); ("link", n_conns) ])
     "reference stream component counts differ from the base tables";
   let acc = Bx.Acc.create () in
-  let rc0 = Executor.Result_cache.stats () and pc0 = Db.cache_stats db in
+  let rc0 = Executor.Result_cache.stats () in
+  let plan_hits = ref 0 and plan_misses = ref 0 in
   let extract = ref [] and navigate = ref [] and session = ref [] in
   let traced_wall = ref [] and plain_wall = ref [] in
   let busy = ref 0.0 and i = ref 0 in
@@ -55,6 +57,7 @@ let run ~seed ~seconds ~trace =
     let traced = trace && !i mod 2 = 0 in
     let nav_seed = (seed * 7919) + !i in
     Bx.attempt tally;
+    let pc0 = Db.cache_stats db in
     let t0 = Bx.now () in
     (match
        Bx.guard tally "session" (fun () ->
@@ -80,6 +83,9 @@ let run ~seed ~seconds ~trace =
      with
     | Some (s, t1, nav) ->
       let t2 = Bx.now () in
+      let pc1 = Db.cache_stats db in
+      plan_hits := !plan_hits + pc1.plan_hits - pc0.plan_hits;
+      plan_misses := !plan_misses + pc1.plan_misses - pc0.plan_misses;
       extract := (t1, t1 -. t0) :: !extract;
       navigate := (t2, t2 -. t1) :: !navigate;
       session := (t2, t2 -. t0) :: !session;
@@ -99,20 +105,20 @@ let run ~seed ~seconds ~trace =
         Bx.Acc.add acc "visits" (float_of_int (Kit.n_lookups + nav.visits))
       end
     | None -> busy := !busy +. (Bx.now () -. t0));
-    for _ = 1 to 10 do
-      Kit.sql_step ~tally sql
+    for _ = 1 to lookups_per_session do
+      Kit.lookup_step ~tally lookups
     done;
     Bx.Speed.maybe ~busy:!busy;
     incr i
   done;
-  let rc1 = Executor.Result_cache.stats () and pc1 = Db.cache_stats db in
+  let rc1 = Executor.Result_cache.stats () in
   let rss = Bx.peak_rss_mb () in
   ignore (Sys.opaque_identity db);
-  let setups = List.init 2 (fun _ -> snd (timed_setup ())) @ setups in
+  let setups = List.init Bx.setup_rounds (fun _ -> snd (timed_setup ())) @ setups in
   let n = List.length !session in
   let e2e =
-    Bx.e2e_metrics ~setups ~extract:!extract ~navigate:!navigate ~lookups:sql.lookups ~joins:sql.joins
-      ~writes:sql.writes ~ops:(Bx.rate_metric "ops_per_s" !session) ~rss
+    Bx.e2e_metrics ~width:1 ~setups ~extract:!extract ~navigate:!navigate ~lookups:lookups.lats
+      ~ops:(Bx.rate_metric "ops_per_s" !session) ~rss
   in
   let layer =
     if not trace then []
@@ -120,9 +126,7 @@ let run ~seed ~seconds ~trace =
       let per name = Bx.ms (Bx.mean (Bx.Acc.get acc name)) in
       let chunks = Bx.Acc.total acc "chunks" in
       [
-        ( "engine.plan_cache_hit_frac",
-          Bx.frac (pc1.plan_hits - pc0.plan_hits)
-            (pc1.plan_hits + pc1.plan_misses - pc0.plan_hits - pc0.plan_misses) );
+        ("engine.plan_cache_hit_frac", Bx.frac !plan_hits (!plan_hits + !plan_misses));
         ("starq.rules_fired", Bx.mean (Bx.Acc.get acc "rules"));
         ("executor.exec_ms", per "exec");
         ("executor.rows_scanned", Bx.mean (Bx.Acc.get acc "scanned"));
@@ -147,9 +151,8 @@ let run ~seed ~seconds ~trace =
     layer;
     notes =
       [
-        Printf.sprintf "oo1_extract: %d parts, %d conns; %d sessions (%d traced); SQL classes on the copy: %d lookups, %d joins, %d writes"
-          Kit.n_parts n_conns n (List.length !traced_wall) (List.length sql.lookups) (List.length sql.joins)
-          (List.length sql.writes);
+        Printf.sprintf "oo1_extract: %d parts, %d conns; %d sessions (%d traced), %d point lookups between them"
+          Kit.n_parts n_conns n (List.length !traced_wall) (List.length lookups.lats);
       ]
       @ tally.first_errors;
   }
